@@ -92,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(excess arrivals get 503 + Retry-After; default: 64)",
     )
     serve.add_argument(
-        "--no-prerender", action="store_true",
-        help="render artifacts lazily on first hit (coalesced) instead of "
-             "all at startup",
-    )
-    serve.add_argument(
         "--sanitize-locks", action="store_true",
         help="instrument the serving locks with the lockdep sanitizer "
              "(raises on lock-order inversion; also honored via the "
@@ -302,11 +297,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine.preprocess()
     engine.analyze()
     store = build_store(engine)
-    if not args.no_prerender:
-        n_artifacts = store.prerender()
-        print(f"pre-rendered {n_artifacts} artifacts "
-              f"(analysis version {store.version})")
     server = ArtifactServer(store, max_inflight=args.max_inflight)
+    # Pre-render through the request path: a failed render (e.g. an
+    # injected serve.request fault) becomes a 500 and leaves its route
+    # cold, so the first real request retries it instead of startup dying.
+    paths = store.paths()
+    warm = sum(server.respond("GET", path).status == 200 for path in paths)
+    print(f"pre-rendered {warm}/{len(paths)} artifacts "
+          f"(analysis version {store.version})")
     server.serve(args.host, args.port, workers=args.workers)
     return 0
 

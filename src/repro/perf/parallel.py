@@ -1,35 +1,35 @@
 """A chunked process-pool executor with a serial fallback.
 
 :class:`ParallelMap` is the one place in the codebase that decides *how* a
-row-wise computation is spread across cores.  Callers hand it a picklable
-per-item function plus an optional worker initializer (for expensive
-per-worker state such as a gazetteer index, built once per process instead
-of once per item), and get the results back in input order.
+row-wise computation is spread across cores.  Callers hand
+:meth:`ParallelMap.map_table` a picklable per-chunk function, a
+:class:`~repro.dataset.table.Table` and an optional worker initializer
+(for expensive per-worker state such as a gazetteer index, built once per
+process instead of once per row), and get one result per row back in row
+order.
 
 Design points:
 
-* **chunked sharding** — items are split into contiguous chunks so the
-  pickling overhead is paid per chunk, not per item, and the output order
-  is trivially the input order;
-* **serial fallback** — with ``n_jobs <= 1`` or fewer items than
+* **columnar dispatch** — the whole table is encoded once into one
+  shared-memory block (see :mod:`repro.perf.shm`) and workers receive
+  only ``(shm_name, col_specs, row_range)`` descriptors, so the per-chunk
+  IPC payload is a few hundred bytes regardless of row count;
+* **chunked sharding** — rows are split into contiguous ranges
+  (:meth:`ParallelMap.shard_ranges`), so the output order is trivially
+  the input order;
+* **serial fallback** — with ``n_jobs <= 1`` or fewer rows than
   ``min_parallel_items`` the map runs inline (after calling the
   initializer locally), so small inputs never pay process start-up costs
   and single-job configurations stay exactly as debuggable as before;
 * **crash resilience** — a worker process dying (a broken pool, or an
   injected :class:`~repro.faults.plan.WorkerCrashError`) does not fail the
-  map: the whole input is recomputed serially and the degradation is
+  map: the whole table is recomputed serially and the degradation is
   counted in ``fallbacks`` for the caller to log.  Exceptions raised by
   the *mapped function itself* still propagate unchanged — a crash of the
   infrastructure is recoverable, a bug in the computation is not;
 * **determinism** — the parallel path computes the same function on the
-  same items; only scheduling changes, never results.  The serial
-  fallback therefore returns bit-identical output;
-* **columnar dispatch** — :meth:`ParallelMap.map_table` ships a whole
-  :class:`~repro.dataset.table.Table` through one shared-memory block
-  (see :mod:`repro.perf.shm`) and sends workers only ``(shm_name,
-  col_specs, row_range)`` descriptors, so the per-chunk IPC payload is a
-  few hundred bytes regardless of row count — the fix for the pickle
-  serialization tax that capped ``map`` at 2 useful workers.
+  same rows; only scheduling changes, never results.  The serial
+  fallback therefore returns bit-identical output.
 """
 
 from __future__ import annotations
@@ -59,22 +59,6 @@ _CHUNKS_PER_JOB = 4
 
 #: Seconds an injected straggler chunk sleeps before doing its work.
 _INJECTED_STRAGGLER_S = 0.05
-
-
-def _run_chunk(payload: tuple[Callable[[Any], Any], list, str | None]) -> list:
-    """Apply ``func`` to every item of one chunk (runs inside a worker).
-
-    *fault* is the injected behaviour decided (deterministically) in the
-    parent before dispatch: ``"crash"`` kills the chunk, ``"delay"`` makes
-    it a straggler.  Keeping the decision in the parent means the injector
-    never has to cross the process boundary.
-    """
-    func, chunk, fault = payload
-    if fault == "crash":
-        raise WorkerCrashError("injected worker crash")
-    if fault == "delay":
-        time.sleep(_INJECTED_STRAGGLER_S)
-    return [func(item) for item in chunk]
 
 
 def _matrix_rows_chunk(names: tuple[str, ...], chunk: Table) -> list:
@@ -161,9 +145,12 @@ def _run_table_chunk(
 ) -> list:
     """Decode one shared-memory slice and apply ``chunk_func`` to it.
 
-    Injected crashes fire *before* the worker attaches, so a crashed
-    worker never holds a mapping — segment cleanup stays entirely with
-    the creating parent.
+    *fault* is the injected behaviour decided (deterministically) in the
+    parent before dispatch: ``"crash"`` kills the chunk, ``"delay"`` makes
+    it a straggler.  Keeping the decision in the parent means the injector
+    never has to cross the process boundary.  Injected crashes fire
+    *before* the worker attaches, so a crashed worker never holds a
+    mapping — segment cleanup stays entirely with the creating parent.
     """
     chunk_func, table_slice, fault = payload
     if fault == "crash":
@@ -175,16 +162,13 @@ def _run_table_chunk(
 
 @dataclass
 class ParallelMap:
-    """Map a function over items with an optional process pool.
+    """Map a function over table rows with an optional process pool.
 
     Parameters
     ----------
     n_jobs:
         Worker processes.  ``1`` (the default) runs serially; ``0`` or a
         negative value resolves to ``os.cpu_count()``.
-    chunk_size:
-        Items per shard; ``None`` sizes chunks so each worker receives
-        about ``_CHUNKS_PER_JOB`` of them.
     min_parallel_items:
         Inputs smaller than this run serially even when ``n_jobs > 1``.
     injector:
@@ -193,7 +177,6 @@ class ParallelMap:
     """
 
     n_jobs: int = 1
-    chunk_size: int | None = None
     min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS
     injector: FaultInjector | None = None
 
@@ -219,29 +202,15 @@ class ParallelMap:
         """Whether *n_items* would actually be fanned out to a pool."""
         return self.resolve_jobs() > 1 and n_items >= self.min_parallel_items
 
-    def shard(self, items: Sequence[Any]) -> list[list[Any]]:
-        """Split *items* into contiguous, order-preserving chunks."""
-        n = len(items)
-        if n == 0:
-            return []
-        jobs = self.resolve_jobs()
-        size = self.chunk_size or max(1, -(-n // (jobs * _CHUNKS_PER_JOB)))
-        return [list(items[i : i + size]) for i in range(0, n, size)]
-
     def shard_ranges(self, n_rows: int) -> list[tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` row ranges, mirroring :meth:`shard`.
+        """Contiguous, order-preserving ``[lo, hi)`` row ranges.
 
-        Uses the exact same chunk-size arithmetic so a table map dispatches
-        the same number of chunks as an item map over the same rows — which
-        keeps ``parallel.worker`` fault arrival counts identical across the
-        two code paths.
+        Sized so each worker receives about ``_CHUNKS_PER_JOB`` of them;
+        one ``parallel.worker`` fault arrival is announced per range.
         """
         if n_rows == 0:
             return []
-        jobs = self.resolve_jobs()
-        size = self.chunk_size or max(
-            1, -(-n_rows // (jobs * _CHUNKS_PER_JOB))
-        )
+        size = max(1, -(-n_rows // (self.resolve_jobs() * _CHUNKS_PER_JOB)))
         return [
             (lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)
         ]
@@ -271,48 +240,6 @@ class ParallelMap:
             return "delay"
         return None
 
-    def map(
-        self,
-        func: Callable[[Any], Any],
-        items: Iterable[Any],
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> list:
-        """``[func(x) for x in items]``, possibly across worker processes.
-
-        *func* (and every item) must be picklable when the parallel path
-        is taken; *initializer* runs once per worker before any chunk (and
-        once inline on the serial path), so it is the place to build
-        expensive shared state.  Results always come back in input order.
-
-        If the pool itself fails — a worker process dies, the pool breaks —
-        the whole map is recomputed serially (bit-identical results) and
-        ``fallbacks`` is incremented so the caller can record the
-        degradation.  Exceptions raised by *func* propagate unchanged.
-        """
-        items = list(items)
-        if not items or not self.should_parallelize(len(items)):
-            if initializer is not None:
-                initializer(*initargs)
-            return [func(item) for item in items]
-        chunks = self.shard(items)
-        payloads = [(func, chunk, self._chunk_fault()) for chunk in chunks]
-        self._check_fork_safety()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.resolve_jobs(), len(chunks)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                results = list(pool.map(_run_chunk, payloads))
-        except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
-            self.fallbacks += 1
-            self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
-            if initializer is not None:
-                initializer(*initargs)
-            return [func(item) for item in items]
-        return [item for chunk in results for item in chunk]
-
     def _serial_table(self, chunk_func, table, initializer, initargs) -> list:
         """The inline path: one call over the whole table."""
         if initializer is not None:
@@ -333,14 +260,15 @@ class ParallelMap:
         order; ``map_table`` returns the concatenation across slices — for
         a row-wise *chunk_func* this is exactly ``list(chunk_func(table))``.
 
-        Unlike :meth:`map`, the rows are never pickled: the whole table is
-        encoded once into a shared-memory block and workers receive only
-        slice descriptors.  The serial path, fallback semantics, fault
-        sites and ordering guarantees are identical to :meth:`map` — a pool
-        failure recomputes the whole table inline (bit-identical) and
-        counts in ``fallbacks``; the shared block is always closed and
-        unlinked in a ``finally``, so no segment outlives the call even
-        when workers crash.
+        The rows are never pickled: the whole table is encoded once into a
+        shared-memory block and workers receive only slice descriptors.
+        *initializer* runs once per worker before any chunk (and once
+        inline on the serial path), so it is the place to build expensive
+        shared state.  A pool failure recomputes the whole table inline
+        (bit-identical) and counts in ``fallbacks``; exceptions raised by
+        *chunk_func* propagate unchanged.  The shared block is always
+        closed and unlinked in a ``finally``, so no segment outlives the
+        call even when workers crash.
         """
         n = table.n_rows
         if n == 0 or not self.should_parallelize(n):

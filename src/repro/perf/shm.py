@@ -1,12 +1,12 @@
 """Columnar shared-memory interchange for the parallel tier.
 
-``ParallelMap.map`` ships every chunk as pickled Python objects: for an
-8000-certificate cleaning pass that is megabytes of per-row strings
-serialized in the parent, copied through a pipe, and deserialized in each
-worker — the serialization tax behind the 2-worker scaling plateau that
-A9 measured.  This module replaces the pickle payload with **one**
-shared-memory block holding the table in columnar form; workers receive
-only a bytes-sized :class:`TableSlice` descriptor ``(shm_name, col_specs,
+Pickling every chunk's rows would cost, for an 8000-certificate cleaning
+pass, megabytes of per-row strings serialized in the parent, copied
+through a pipe, and deserialized in each worker — the serialization tax
+behind the 2-worker scaling plateau that A9 measured.  This module ships
+**one** shared-memory block holding the table in columnar form instead;
+:meth:`~repro.perf.parallel.ParallelMap.map_table` workers receive only
+a bytes-sized :class:`TableSlice` descriptor ``(shm_name, col_specs,
 row_range)`` and decode their row range straight out of the block.
 
 Buffer layout (all parts packed back to back in one block):

@@ -1,8 +1,9 @@
-"""The production serving tier: immutable artifacts behind a thread pool.
+"""The serving tier: immutable artifacts behind a thread pool.
 
-``repro.serve`` is the development surface — one process, lazy rendering,
-no caching headers.  This package is what the ROADMAP calls the
-production serving tier, built from three pieces:
+The paper plans "to release our framework INDICE in order to have real
+feed-backs from end-users (e.g., citizens, energy experts, public
+administration)".  This package is that release surface — the one server
+``repro serve`` runs — built from three pieces:
 
 * :mod:`repro.serving.store` — an **immutable artifact store**.  Every
   dashboard, the report and the GeoJSON layers are rendered at most once

@@ -108,14 +108,13 @@ class TestSelfAnalysis:
         assert not result.errors
         # the scan really covered the project, analyzer included
         assert result.n_files > 60
-        # the documented intentional sites (serve.py catch-all 500,
-        # serving/server.py catch-all 500 + pooled-worker survival,
-        # perf/cache.py corrupt-entry-as-miss, checks/cache.py corrupt
-        # analysis cache, checks/cli.py crash-to-exit-2 boundary,
-        # serving/store.py sanctioned coalescing render under the
-        # single-flight lock, checks/lockdep.py forwarding-proxy
-        # acquire + __enter__) are pragma'd, not invisible
-        assert result.n_suppressed == 9
+        # the documented intentional sites (serving/server.py catch-all
+        # 500 + pooled-worker survival, perf/cache.py corrupt-entry-as-miss,
+        # checks/cache.py corrupt analysis cache, checks/cli.py
+        # crash-to-exit-2 boundary, serving/store.py sanctioned coalescing
+        # render under the single-flight lock, checks/lockdep.py
+        # forwarding-proxy acquire + __enter__) are pragma'd, not invisible
+        assert result.n_suppressed == 8
 
     def test_checker_analyzes_itself(self):
         result = Checker().run([SRC / "checks"])

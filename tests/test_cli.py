@@ -64,3 +64,26 @@ class TestCommands:
         )
         assert code == 0
         assert out.exists()
+
+    def test_serve_starts_under_render_faults(self, monkeypatch, capsys):
+        # a failing startup render leaves its route cold instead of
+        # killing the server before it binds
+        from repro.serving import ArtifactServer
+
+        started = []
+        monkeypatch.setattr(
+            ArtifactServer, "serve",
+            lambda self, *args, **kwargs: started.append(self),
+        )
+        code = main(
+            [
+                "serve", "--certificates", "400", "--seed", "4",
+                "--fault-plan", "serve.request:transient*3;seed=5",
+            ]
+        )
+        assert code == 0
+        (server,) = started
+        assert "pre-rendered 3/6 artifacts" in capsys.readouterr().out
+        # the cold routes render on their first request
+        statuses = {server.respond("GET", p).status for p in server.store.paths()}
+        assert statuses == {200}

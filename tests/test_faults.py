@@ -508,15 +508,19 @@ class TestCleanerResilience:
 # ---------------------------------------------------------------------------
 
 
-def _double(x):
-    return 2 * x
+def _double(chunk):
+    return [2 * x for x in chunk["x"]]
+
+
+def _numbers(n):
+    return Table([Column.numeric("x", np.arange(float(n)))])
 
 
 class TestParallelFaults:
     def test_injected_crash_falls_back_to_serial(self):
         inj = FaultInjector(FaultPlan.parse("parallel.worker:crash*1"))
         ex = ParallelMap(n_jobs=2, min_parallel_items=1, injector=inj)
-        out = ex.map(_double, range(40))
+        out = ex.map_table(_double, _numbers(40))
         assert out == [2 * x for x in range(40)]
         assert ex.fallbacks == 1
         assert "WorkerCrashError" in ex.last_fallback_reason
@@ -524,13 +528,14 @@ class TestParallelFaults:
     def test_injected_straggler_still_correct(self):
         inj = FaultInjector(FaultPlan.parse("parallel.worker:delay*1"))
         ex = ParallelMap(n_jobs=2, min_parallel_items=1, injector=inj)
-        assert ex.map(_double, range(40)) == [2 * x for x in range(40)]
+        assert ex.map_table(_double, _numbers(40)) == [2 * x for x in range(40)]
         assert ex.fallbacks == 0
+        assert inj.injections("parallel.worker") == 1
 
     def test_serial_path_ignores_worker_faults(self):
         inj = FaultInjector(FaultPlan.parse("parallel.worker:crash"))
         ex = ParallelMap(n_jobs=1, injector=inj)
-        assert ex.map(_double, range(10)) == [2 * x for x in range(10)]
+        assert ex.map_table(_double, _numbers(10)) == [2 * x for x in range(10)]
         assert inj.events == []  # site never reached on the serial path
 
 

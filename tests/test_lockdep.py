@@ -21,8 +21,17 @@ from repro.checks.lockdep import (
     resolve,
     wrap,
 )
+from repro.dataset.table import Column, Table
 
 pytestmark = pytest.mark.checks
+
+
+def _column(values):
+    return Table([Column.numeric("x", [float(v) for v in values])])
+
+
+def _absolute(chunk):
+    return [abs(x) for x in chunk["x"]]
 
 
 def _pair(dep):
@@ -142,15 +151,16 @@ class TestForkCheck:
         before = len(dep.violations)
         with lock:
             with pytest.raises(LockOrderError, match="pool spawn"):
-                pm.map(abs, list(range(64)))
+                pm.map_table(_absolute, _column(range(64)))
         assert len(dep.violations) == before + 1
+        assert pm.shm_bytes == 0  # refused before any segment was made
 
     def test_parallel_map_forks_fine_with_no_lock_held(self, monkeypatch):
         from repro.perf.parallel import ParallelMap
 
         monkeypatch.setenv(ENV_FLAG, "1")
         pm = ParallelMap(n_jobs=2, min_parallel_items=1)
-        assert pm.map(abs, [-3, -2, -1]) == [3, 2, 1]
+        assert pm.map_table(_absolute, _column([-3, -2, -1])) == [3, 2, 1]
 
 
 class TestWrapperFidelity:

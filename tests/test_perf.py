@@ -21,18 +21,23 @@ from repro.perf import (
 from repro.preprocessing.address_cleaner import AddressCleaner, CleaningConfig
 
 
-def _square(x):
-    return x * x
+def _numbers(n):
+    return Table([Column.numeric("x", np.arange(float(n)))])
 
 
-def _tag_worker(x):
-    return ("tagged", x)
+def _squares(chunk):
+    return [x * x for x in chunk["x"]]
 
 
-def _raise_on_three(x):
-    if x == 3:
-        raise ValueError(f"bad item {x}")
-    return x
+def _tagged(chunk):
+    return [("tagged", s) for s in chunk["s"]]
+
+
+def _raise_on_three(chunk):
+    for x in chunk["x"]:
+        if x == 3:
+            raise ValueError(f"bad item {x:g}")
+    return list(chunk["x"])
 
 
 _OFFSET = 0
@@ -43,8 +48,8 @@ def _set_offset(value):
     _OFFSET = value
 
 
-def _add_offset(x):
-    return x + _OFFSET
+def _add_offset(chunk):
+    return [x + _OFFSET for x in chunk["x"]]
 
 
 @pytest.fixture(scope="module")
@@ -69,34 +74,39 @@ class TestParallelMap:
     def test_serial_fallback_small_input(self):
         ex = ParallelMap(n_jobs=4, min_parallel_items=100)
         assert not ex.should_parallelize(10)
-        assert ex.map(_square, range(10)) == [x * x for x in range(10)]
+        assert ex.map_table(_squares, _numbers(10)) == [x * x for x in range(10)]
 
     def test_serial_when_one_job(self):
         ex = ParallelMap(n_jobs=1, min_parallel_items=0)
         assert not ex.should_parallelize(10_000)
-        assert ex.map(_square, range(5)) == [0, 1, 4, 9, 16]
+        assert ex.map_table(_squares, _numbers(5)) == [0, 1, 4, 9, 16]
 
     def test_parallel_preserves_order(self):
         ex = ParallelMap(n_jobs=2, min_parallel_items=1)
         assert ex.should_parallelize(50)
-        assert ex.map(_square, range(50)) == [x * x for x in range(50)]
+        assert ex.map_table(_squares, _numbers(50)) == [x * x for x in range(50)]
 
     def test_zero_jobs_resolves_to_cores(self):
         assert ParallelMap(n_jobs=0).resolve_jobs() >= 1
         assert ParallelMap(n_jobs=-1).resolve_jobs() >= 1
 
     def test_shard_covers_all_items_in_order(self):
-        ex = ParallelMap(n_jobs=3, chunk_size=4)
-        chunks = ex.shard(list(range(10)))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [x for c in chunks for x in c] == list(range(10))
+        ex = ParallelMap(n_jobs=3)
+        assert ex.shard_ranges(0) == []
+        for n in (1, 5, 97, 512, 1000):
+            ranges = ex.shard_ranges(n)
+            # contiguous, non-empty, in order: every row exactly once
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(lo < hi for lo, hi in ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
     def test_empty_input(self):
-        assert ParallelMap(n_jobs=2, min_parallel_items=0).map(_square, []) == []
+        ex = ParallelMap(n_jobs=2, min_parallel_items=0)
+        assert ex.map_table(_squares, _numbers(0)) == []
 
     def test_parallel_map_with_function_results(self):
         ex = ParallelMap(n_jobs=2, min_parallel_items=1)
-        out = ex.map(_tag_worker, ["a", "b", "c"])
+        out = ex.map_table(_tagged, Table([Column.text("s", ["a", "b", "c"])]))
         assert out == [("tagged", "a"), ("tagged", "b"), ("tagged", "c")]
 
 
@@ -107,20 +117,21 @@ class TestParallelMapFailureModes:
     def test_mapped_function_exception_propagates_parallel(self):
         ex = ParallelMap(n_jobs=2, min_parallel_items=1)
         with pytest.raises(ValueError, match="bad item 3"):
-            ex.map(_raise_on_three, range(10))
+            ex.map_table(_raise_on_three, _numbers(10))
         assert ex.fallbacks == 0  # a bug must never be retried serially
 
     def test_mapped_function_exception_propagates_serial(self):
         ex = ParallelMap(n_jobs=1)
         with pytest.raises(ValueError, match="bad item 3"):
-            ex.map(_raise_on_three, range(10))
+            ex.map_table(_raise_on_three, _numbers(10))
+        assert ex.fallbacks == 0
 
     def test_n_jobs_one_equivalent_with_initializer(self):
         serial = ParallelMap(n_jobs=1)
         parallel = ParallelMap(n_jobs=2, min_parallel_items=1)
         args = (_set_offset, (7,))
-        a = serial.map(_add_offset, range(30), *args)
-        b = parallel.map(_add_offset, range(30), *args)
+        a = serial.map_table(_add_offset, _numbers(30), *args)
+        b = parallel.map_table(_add_offset, _numbers(30), *args)
         assert a == b == [x + 7 for x in range(30)]
 
     def test_fallback_reruns_initializer(self):
@@ -130,15 +141,18 @@ class TestParallelMapFailureModes:
             n_jobs=2, min_parallel_items=1,
             injector=FaultInjector("parallel.worker:crash*1"),
         )
-        out = ex.map(
-            _add_offset, range(20), initializer=_set_offset, initargs=(5,)
+        out = ex.map_table(
+            _add_offset, _numbers(20), initializer=_set_offset, initargs=(5,)
         )
         assert out == [x + 5 for x in range(20)]
         assert ex.fallbacks == 1
 
     def test_empty_input_parallel_with_initializer(self):
         ex = ParallelMap(n_jobs=2, min_parallel_items=0)
-        assert ex.map(_add_offset, [], initializer=_set_offset, initargs=(3,)) == []
+        out = ex.map_table(
+            _add_offset, _numbers(0), initializer=_set_offset, initargs=(3,)
+        )
+        assert out == []
 
     def test_empty_input_never_spawns_pool(self):
         # an empty map must not pay process start-up nor touch fault sites
@@ -146,8 +160,9 @@ class TestParallelMapFailureModes:
 
         injector = FaultInjector("parallel.worker:crash")
         ex = ParallelMap(n_jobs=4, min_parallel_items=0, injector=injector)
-        assert ex.map(_square, []) == []
+        assert ex.map_table(_squares, _numbers(0)) == []
         assert injector.events == []
+        assert ex.shm_bytes == 0
 
 
 class TestFingerprints:

@@ -1,14 +1,20 @@
-"""Tests for the dashboard HTTP server (routing is pure, no sockets)."""
+"""Tests for the HTTP request path of the serving tier.
+
+Routing and error pages go through the socket-free
+``ArtifactServer.respond``; the socket layer is exercised through
+``ArtifactServer.serving`` on an ephemeral port.
+"""
 
 import pytest
 
 from repro import Indice, IndiceConfig, Stakeholder
 from repro.dataset import SyntheticConfig, generate_epc_collection
-from repro.serve import DashboardServer, write_payload
+from repro.serving import ArtifactServer, build_store
+from repro.serving.server import write_payload
 
 
 @pytest.fixture(scope="module")
-def server():
+def engine():
     collection = generate_epc_collection(SyntheticConfig(n_certificates=1000, seed=77))
     engine = Indice(
         collection,
@@ -16,64 +22,71 @@ def server():
     )
     engine.preprocess()
     engine.analyze()
-    return DashboardServer(engine)
+    return engine
+
+
+@pytest.fixture(scope="module")
+def server(engine):
+    return ArtifactServer(build_store(engine))
+
+
+def get(server, path):
+    """``(status, content_type, body text)`` of one GET."""
+    response = server.respond("GET", path)
+    return response.status, response.content_type, response.body.decode("utf-8")
 
 
 class TestRouting:
     def test_index_links_all_stakeholders(self, server):
-        status, content_type, body = server.route("/")
+        status, content_type, body = get(server, "/")
         assert status == 200
         assert "text/html" in content_type
         for s in Stakeholder:
             assert f"/dashboard/{s.value}" in body
 
     def test_dashboard_route(self, server):
-        status, __, body = server.route("/dashboard/citizen")
+        status, __, body = get(server, "/dashboard/citizen")
         assert status == 200
         assert body.startswith("<!DOCTYPE html>")
         assert "showTab" in body  # the navigable dashboard
 
     def test_trailing_slash_normalized(self, server):
-        status, __, ___ = server.route("/dashboard/citizen/")
+        status, __, ___ = get(server, "/dashboard/citizen/")
         assert status == 200
 
     def test_unknown_stakeholder_404(self, server):
-        status, __, body = server.route("/dashboard/alien")
+        status, __, body = get(server, "/dashboard/alien")
         assert status == 404
         assert "alien" in body
 
     def test_unknown_path_404(self, server):
-        status, __, ___ = server.route("/nope")
+        status, __, ___ = get(server, "/nope")
         assert status == 404
 
     def test_report_route(self, server):
-        status, __, body = server.route("/report")
+        status, __, body = get(server, "/report")
         assert status == 200
         assert "INDICE analysis report" in body
 
     def test_dashboard_cached(self, server):
-        first = server.route("/dashboard/energy_scientist")[2]
-        second = server.route("/dashboard/energy_scientist")[2]
-        assert first is second  # same cached object, not re-rendered
+        path = "/dashboard/energy_scientist"
+        first = server.respond("GET", path).body
+        second = server.respond("GET", path).body
+        assert first is second  # same stored bytes, not re-rendered
+        assert server.store.render_count(path) == 1
 
-    def test_request_before_analysis_is_503_page(self):
-        # a warming-up deployment answers "not ready", it does not crash
+    def test_unanalyzed_engine_has_no_store(self):
+        # a store is a snapshot of a finished analysis, never half-warm
         collection = generate_epc_collection(SyntheticConfig(n_certificates=100, seed=1))
-        server = DashboardServer(Indice(collection))
-        for path in ("/", "/report", "/dashboard/citizen"):
-            status, content_type, body = server.route(path)
-            assert status == 503
-            assert "text/html" in content_type
-            assert body.startswith("<!DOCTYPE html>")
-            assert "not ready" in body.lower()
-            assert "Traceback" not in body
+        with pytest.raises(RuntimeError, match="analyze"):
+            build_store(Indice(collection))
 
 
 class TestErrorPages:
     """Every failure mode returns a well-formed page, never a traceback."""
 
     def test_unknown_stakeholder_is_html_error_page(self, server):
-        status, content_type, body = server.route("/dashboard/alien")
+        status, content_type, body = get(server, "/dashboard/alien")
         assert status == 404
         assert "text/html" in content_type
         assert body.startswith("<!DOCTYPE html>")
@@ -91,29 +104,32 @@ class TestErrorPages:
         ],
     )
     def test_malformed_path_is_400_page(self, server, path):
-        status, content_type, body = server.route(path)
+        status, content_type, body = get(server, path)
         assert status == 400
         assert "text/html" in content_type
         assert body.startswith("<!DOCTYPE html>")
         assert "Traceback" not in body
 
-    def test_internal_error_is_500_page_without_traceback(self, server, monkeypatch):
+    def test_internal_error_is_500_page_without_traceback(self, engine, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("rendering exploded")
 
-        monkeypatch.setattr(server._engine, "build_navigable_dashboard", boom)
-        server._cache.pop("dash:citizen", None)
-        status, content_type, body = server.route("/dashboard/citizen")
-        assert status == 500
-        assert "text/html" in content_type
+        monkeypatch.setattr(engine, "build_navigable_dashboard", boom)
+        response = ArtifactServer(build_store(engine)).respond(
+            "GET", "/dashboard/citizen"
+        )
+        body = response.body.decode("utf-8")
+        assert response.status == 500
+        assert "text/html" in response.content_type
+        assert response.header("Cache-Control") == "no-store"
         assert body.startswith("<!DOCTYPE html>")
         assert "Traceback" not in body and "rendering exploded" not in body
         assert "RuntimeError" in body  # the error *class* is surfaced
 
     def test_error_page_escapes_markup(self, server):
-        # hostile names render inert: route rejects raw <>, and the
-        # escaped-name page never reflects raw markup back
-        status, __, body = server.route("/dashboard/%3Cimg%20src=x%3E")
+        # hostile names render inert: routing rejects raw <>, and the
+        # page naming an escaped path never reflects raw markup back
+        status, __, body = get(server, "/dashboard/%3Cimg%20src=x%3E")
         assert status == 404
         assert "<img" not in body
 
@@ -153,7 +169,7 @@ class TestHostilePathMatrix:
 
     @pytest.mark.parametrize("path,expected", MATRIX, ids=[p for p, __ in MATRIX])
     def test_status(self, server, path, expected):
-        status, content_type, body = server.route(path)
+        status, content_type, body = get(server, path)
         assert status == expected
         assert "text/html" in content_type
         assert "Traceback" not in body
@@ -161,53 +177,20 @@ class TestHostilePathMatrix:
 
 class TestEndToEndSocket:
     def test_real_http_roundtrip(self, server):
-        """One real request through http.server to cover the socket layer."""
-        import threading
+        """One real request through the pooled socket layer."""
         import urllib.request
-        from http.server import BaseHTTPRequestHandler, HTTPServer
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                status, content_type, body = server.route(self.path)
-                payload = body.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        httpd = HTTPServer(("127.0.0.1", 0), Handler)
-        port = httpd.server_address[1]
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/") as response:
+        with server.serving(workers=2) as (__, url):
+            with urllib.request.urlopen(f"{url}/") as response:
                 assert response.status == 200
                 assert b"INDICE" in response.read()
-        finally:
-            httpd.shutdown()
 
 
 @pytest.fixture()
 def live_server(server):
-    """The real handler (``DashboardServer.handler_class``) on a socket."""
-    import threading
-    from http.server import HTTPServer
-
-    handler = server.handler_class()
-    handler.log_message = lambda *args, **kwargs: None
-    httpd = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
+    """The real handler on an ephemeral port; yields the port."""
+    with server.serving(workers=2) as (httpd, __):
         yield httpd.server_address[1]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5.0)
 
 
 class TestSocketRegressions:
@@ -234,9 +217,10 @@ class TestSocketRegressions:
         )
         assert get_status == head_status == 200
         assert head_body == b""  # HEAD carries headers only
-        # ...but advertises the same length the GET actually delivered
+        # ...but advertises the same headers the GET actually delivered
         assert head_headers["Content-Length"] == str(len(get_body))
         assert head_headers["Content-Type"] == get_headers["Content-Type"]
+        assert head_headers["ETag"] == get_headers["ETag"]
 
     def test_head_error_page_has_no_body(self, live_server):
         status, headers, body = self._request(live_server, "HEAD", "/nope")
@@ -260,7 +244,7 @@ class TestSocketRegressions:
 
 
 class TestWritePayload:
-    """The disconnect-absorbing socket write used by every handler."""
+    """The disconnect-absorbing socket write used by the handler."""
 
     def test_normal_write_succeeds(self):
         import io

@@ -46,6 +46,12 @@ def _upper_s(chunk: Table) -> list:
     return [None if v is None else v.upper() for v in chunk["s"]]
 
 
+def _chunk_span(chunk: Table) -> list:
+    """Tag every row with the ``[lo, hi)`` row range of its chunk."""
+    lo = int(chunk["x"][0])
+    return [(lo, lo + chunk.n_rows)] * chunk.n_rows
+
+
 def _die_in_worker(chunk: Table) -> list:
     """Hard-crash the worker process (never the parent's serial path)."""
     if os.getpid() != _PARENT_PID:
@@ -269,14 +275,15 @@ class TestMapTable:
         assert ran == ["init"]  # fallback initialized inline exactly once
 
     def test_shard_ranges_mirror_shard(self):
+        # the slices map_table really dispatches are exactly shard_ranges
         executor = ParallelMap(n_jobs=3, min_parallel_items=1)
         for n in (1, 5, 97, 512, 1000):
-            items = list(range(n))
-            chunks = executor.shard(items)
+            table = Table([Column.numeric("x", np.arange(float(n)))])
+            spans = list(dict.fromkeys(executor.map_table(_chunk_span, table)))
             ranges = executor.shard_ranges(n)
-            assert len(chunks) == len(ranges)
-            assert [len(c) for c in chunks] == [hi - lo for lo, hi in ranges]
+            assert spans == ranges
             assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert executor.fallbacks == 0  # the pool path, not the fallback
 
     def test_descriptor_payload_is_tiny(self):
         values = [f"via Pietro Giuria {i}" for i in range(4096)]

@@ -1,7 +1,7 @@
-"""A9 — parallel cleaning tier, indexed matching and stage-cache wins.
+"""A9 — parallel cleaning tier, bit-parallel matching and stage-cache wins.
 
 The perf layer added on top of the pipeline promises three things: the
-indexed gazetteer matcher keeps serial throughput high, ``n_jobs > 1``
+bit-parallel gazetteer matcher keeps serial throughput high, ``n_jobs > 1``
 never changes results while sharding the Levenshtein-heavy work, and the
 content-hash stage cache turns repeated ``preprocess()``/``analyze()``
 calls into hash lookups.  This experiment measures all three on the same
@@ -127,6 +127,6 @@ def test_a9_parallel_and_cache(benchmark):
             "",
             "parallel runs verified bit-identical to serial (addresses).",
             "note: single-core hosts see no n_jobs win; the speedup there",
-            "comes from the indexed matcher and the cache.",
+            "comes from the bit-parallel matcher and the cache.",
         ],
     )

@@ -48,7 +48,7 @@ from ..faults.plan import FaultInjector
 from ..faults.policy import Deadline
 from ..geo.regions import Granularity
 from ..perf.cache import StageCache, fingerprint_table, fingerprint_value
-from ..perf.parallel import ParallelMap, feature_matrix, grouped_mean
+from ..perf.parallel import ParallelMap
 from ..preprocessing.address_cleaner import AddressCleaner, CleaningReport
 from ..preprocessing.dbscan import dbscan
 from ..preprocessing.geocoder import SimulatedGeocoder
@@ -138,19 +138,11 @@ class AnalyticsOutcome:
     # tab's granularity, so they are computed once and memoized here instead
     # of once per tab.
 
-    def region_means(
-        self, region_column: str, response: str, executor=None
-    ) -> dict:
-        """Mean *response* per region (memoized; missing regions dropped).
-
-        *executor* (a :class:`~repro.perf.parallel.ParallelMap`, as the
-        engine passes when building dashboards) routes the aggregation
-        through the columnar parallel path; results are bit-identical
-        either way, so the memo never cares which path filled it.
-        """
+    def region_means(self, region_column: str, response: str) -> dict:
+        """Mean *response* per region (memoized; missing regions dropped)."""
         key = ("region_means", region_column, response)
         if key not in self._memo:
-            means = grouped_mean(self.table, region_column, response, executor)
+            means = self.table.aggregate(region_column, response, np.mean)
             means.pop(None, None)
             self._memo[key] = means
         return self._memo[key]
@@ -345,9 +337,7 @@ class Indice:
                 budget_s=cfg.resilience.stage_timeout_s,
             )
         elif cfg.run_multivariate_outliers:
-            matrix, __ = standardize(
-                feature_matrix(filtered, cfg.features, self.executor)
-            )
+            matrix, __ = standardize(filtered.to_matrix(cfg.features))
             estimate = estimate_dbscan_params(matrix)
             result = dbscan(matrix, estimate.eps, estimate.min_points)
             complete = ~np.isnan(matrix).any(axis=1)
@@ -501,9 +491,7 @@ class Indice:
         )
 
         kmeans_start = time.perf_counter()
-        matrix, __ = standardize(
-            feature_matrix(table, cfg.features, self.executor)
-        )
+        matrix, __ = standardize(table.to_matrix(cfg.features))
         clustering = kmeans_auto(
             matrix, cfg.k_range, seed=cfg.seed, n_init=cfg.kmeans_n_init
         )
@@ -614,9 +602,7 @@ class Indice:
             region_column = (
                 "district" if level is Granularity.DISTRICT else "neighbourhood"
             )
-            means = analytics.region_means(
-                region_column, cfg.response, self.executor
-            )
+            means = analytics.region_means(region_column, cfg.response)
             if granularity is Granularity.NEIGHBOURHOOD:
                 # Figure 2 (upper): area averages with per-certificate markers
                 builder.add_map(

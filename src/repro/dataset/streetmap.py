@@ -122,9 +122,9 @@ class StreetMap:
     """The referenced street map: streets, civics, ZIPs and geolocation.
 
     ``records`` is the flat gazetteer; ``street_names`` the distinct street
-    names.  The bucketed Levenshtein index over the street names is built
-    lazily and cached on the instance (:meth:`match_index`): building it
-    costs one pass over the gazetteer, and every
+    names.  The bit-parallel Levenshtein index over the street names is
+    built lazily and cached on the instance (:meth:`match_index`): building
+    it costs one pass over the gazetteer, and every
     :class:`~repro.preprocessing.address_cleaner.AddressCleaner` sharing
     this map then reuses the same index.
     """
@@ -146,7 +146,7 @@ class StreetMap:
         return by_street
 
     def match_index(self) -> GazetteerIndex:
-        """The cached length/first-token index over :meth:`street_names`.
+        """The cached :class:`GazetteerIndex` over :meth:`street_names`.
 
         Candidate order inside the index matches :meth:`street_names`, so
         matched indices can be mapped straight back to street names.  The

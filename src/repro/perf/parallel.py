@@ -6,7 +6,12 @@ row-wise computation is spread across cores.  Callers hand
 :class:`~repro.dataset.table.Table` and an optional worker initializer
 (for expensive per-worker state such as a gazetteer index, built once per
 process instead of once per row), and get one result per row back in row
-order.
+order.  Its one production caller is address resolution in
+:class:`~repro.preprocessing.address_cleaner.AddressCleaner`: each worker
+resolves its slice of distinct addresses with one batched gazetteer
+lookup.  Whole-table NumPy work (``Table.to_matrix``, ``Table.aggregate``)
+takes under a millisecond and runs inline: encoding the table into shared
+memory and starting a pool would cost hundreds of times more.
 
 Design points:
 
@@ -34,22 +39,18 @@ Design points:
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from ..dataset.table import ColumnKind, Table, TableError
 from ..faults.plan import PARALLEL_WORKER, FaultInjector, FaultKind, WorkerCrashError
 from .shm import SharedTable, TableSlice, attach_slice
 
-__all__ = ["ParallelMap", "feature_matrix", "grouped_mean"]
+__all__ = ["ParallelMap"]
 
 #: Below this many items the process pool costs more than it saves.
 DEFAULT_MIN_PARALLEL_ITEMS = 512
@@ -59,85 +60,6 @@ _CHUNKS_PER_JOB = 4
 
 #: Seconds an injected straggler chunk sleeps before doing its work.
 _INJECTED_STRAGGLER_S = 0.05
-
-
-def _matrix_rows_chunk(names: tuple[str, ...], chunk: Table) -> list:
-    """One float feature row-vector per row of *chunk* (runs in a worker).
-
-    Module-level (not a lambda/closure) so the parallel path can pickle
-    it — the PAR001 contract.
-    """
-    return list(chunk.to_matrix(list(names)))
-
-
-def _group_pairs_chunk(by: str, name: str, chunk: Table) -> list:
-    """One ``(group key, value)`` pair per row of *chunk* (worker side).
-
-    Key normalization mirrors :meth:`Table.group_indices` exactly (NaN
-    numeric keys become ``None``), so the parent-side regroup reproduces
-    :meth:`Table.aggregate` bit-for-bit.
-    """
-    key_col = chunk.column(by)
-    if key_col.kind is ColumnKind.NUMERIC:
-        keys = [None if np.isnan(v) else float(v) for v in key_col.values]
-    else:
-        keys = list(key_col.values)
-    return list(zip(keys, chunk.column(name).values))
-
-
-def feature_matrix(
-    table: Table,
-    names: Sequence[str],
-    executor: "ParallelMap | None" = None,
-) -> np.ndarray:
-    """``table.to_matrix(names)`` through the columnar parallel path.
-
-    Each worker decodes only its shared-memory row slice and returns its
-    float rows; the parent stacks them back in row order, so the result is
-    bit-identical to the serial ``to_matrix`` (same float64 copies, same
-    layout).  With no executor — or below the parallel threshold — this
-    *is* the serial ``to_matrix``.
-    """
-    if executor is None or not executor.should_parallelize(table.n_rows):
-        return table.to_matrix(list(names))
-    rows = executor.map_table(
-        functools.partial(_matrix_rows_chunk, tuple(names)), table
-    )
-    return np.vstack(rows)
-
-
-def grouped_mean(
-    table: Table,
-    by: str,
-    name: str,
-    executor: "ParallelMap | None" = None,
-) -> dict:
-    """``table.aggregate(by, name, np.mean)`` through the parallel path.
-
-    Workers emit ``(group key, value)`` pairs per row; the parent regroups
-    them in row order (so first-appearance key order is preserved), drops
-    NaN values and takes one ``np.mean`` per group over the *whole* group
-    — never a mean of partial means — which keeps the result bit-identical
-    to the serial aggregate.  Empty groups map to ``nan``, like
-    :meth:`Table.aggregate`.
-    """
-    if executor is None or not executor.should_parallelize(table.n_rows):
-        return table.aggregate(by, name, np.mean)
-    if table.column(name).kind is not ColumnKind.NUMERIC:
-        # same contract as Table.aggregate
-        raise TableError(f"aggregate expects a numeric column, got {name!r}")
-    pairs = executor.map_table(
-        functools.partial(_group_pairs_chunk, by, name), table
-    )
-    groups: dict[Any, list] = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-    out: dict[Any, float] = {}
-    for key, values in groups.items():
-        arr = np.asarray(values, dtype=np.float64)
-        arr = arr[~np.isnan(arr)]
-        out[key] = float(np.mean(arr)) if len(arr) else float("nan")
-    return out
 
 
 def _run_table_chunk(

@@ -170,16 +170,10 @@ class AddressCleaner:
         the geocoder (that decision is made per-row in :meth:`clean_table`
         so quota accounting stays centralized).
         """
-        normalized = normalize_address(raw_address)
-        if not normalized:
-            return None, MatchStatus.SKIPPED, 0.0
-        if normalized in self._street_set:
-            return normalized, MatchStatus.EXACT, 1.0
-        hit = self._index.best_match(normalized, phi=self.config.phi)
-        if hit is None:
-            return None, MatchStatus.UNRESOLVED, 0.0
-        index, sim = hit
-        return self._streets[index], MatchStatus.MATCHED, sim
+        return _resolve_batch(
+            [raw_address], self._streets, self._street_set, self._index,
+            self.config.phi,
+        )[0]
 
     def _record_for(
         self, street: str, house_number: str | None, lat: float, lon: float
@@ -208,9 +202,11 @@ class AddressCleaner:
         is embarrassingly parallel: resolution touches only the immutable
         gazetteer index, never the geocoder or its quota.  Distinct values
         are sharded across the executor; each worker process builds the
-        gazetteer index once (in its initializer) and reuses it for every
-        address it receives.  The serial path resolves inline against the
-        shared index, so both paths return identical mappings.
+        gazetteer index once (in its initializer) and resolves its whole
+        slice with one :func:`_resolve_batch`.  The serial path runs the
+        same batch over every distinct address against the shared index,
+        and a query's match never depends on the rest of its batch, so
+        both paths return identical mappings.
         """
         distinct = list(dict.fromkeys(a for a in address if a is not None))
         if self.executor.should_parallelize(len(distinct)):
@@ -223,7 +219,10 @@ class AddressCleaner:
                 initargs=(self._streets, self.config.phi),
             )
         else:
-            resolutions = [self.resolve_street(raw) for raw in distinct]
+            resolutions = _resolve_batch(
+                distinct, self._streets, self._street_set, self._index,
+                self.config.phi,
+            )
         return dict(zip(distinct, resolutions))
 
     def clean_table(self, table: Table) -> CleaningReport:
@@ -456,10 +455,45 @@ class AddressCleaner:
         )
 
 
+# -- batch resolution ----------------------------------------------------------
+
+
+def _resolve_batch(
+    raws: list[str | None],
+    streets: list[str],
+    street_set: set[str],
+    index: GazetteerIndex,
+    phi: float,
+) -> list[tuple[str | None, MatchStatus, float]]:
+    """Resolve raw addresses to ``(street or None, status, similarity)``.
+
+    Each address is normalized; an empty result is SKIPPED and a verbatim
+    gazetteer street is an EXACT hit.  Every other distinct normalized
+    address goes through one :meth:`GazetteerIndex.best_matches` call.
+    """
+    normalized = [normalize_address(raw) for raw in raws]
+    pending = list(
+        dict.fromkeys(n for n in normalized if n and n not in street_set)
+    )
+    hits = dict(zip(pending, index.best_matches(pending, phi)))
+    out: list[tuple[str | None, MatchStatus, float]] = []
+    for street in normalized:
+        if not street:
+            out.append((None, MatchStatus.SKIPPED, 0.0))
+        elif street in street_set:
+            out.append((street, MatchStatus.EXACT, 1.0))
+        elif hits[street] is None:
+            out.append((None, MatchStatus.UNRESOLVED, 0.0))
+        else:
+            matched, sim = hits[street]
+            out.append((streets[matched], MatchStatus.MATCHED, sim))
+    return out
+
+
 # -- worker-process resolution ------------------------------------------------
 #
 # Per-worker state for the parallel resolution path: each process builds the
-# gazetteer index once (initializer) and reuses it for every sharded address.
+# gazetteer index once (initializer) and reuses it for every sharded slice.
 
 _WORKER_STATE: tuple[list[str], set[str], GazetteerIndex, float] | None = None
 
@@ -470,35 +504,15 @@ def _init_resolver_worker(streets: list[str], phi: float) -> None:
     _WORKER_STATE = (streets, set(streets), GazetteerIndex(streets), phi)
 
 
-def _resolve_one_worker(raw: str) -> tuple[str | None, MatchStatus, float]:
-    """Resolve one raw address against the worker's gazetteer index.
-
-    Mirrors :meth:`AddressCleaner.resolve_street` exactly (same
-    normalization, same exact-hit short-circuit, same indexed match), so
-    sharded resolution is bit-identical to the serial path.
-    """
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    streets, street_set, index, phi = _WORKER_STATE
-    normalized = normalize_address(raw)
-    if not normalized:
-        return None, MatchStatus.SKIPPED, 0.0
-    if normalized in street_set:
-        return normalized, MatchStatus.EXACT, 1.0
-    hit = index.best_match(normalized, phi=phi)
-    if hit is None:
-        return None, MatchStatus.UNRESOLVED, 0.0
-    matched, sim = hit
-    return streets[matched], MatchStatus.MATCHED, sim
-
-
 def _resolve_chunk_worker(
     chunk: Table,
 ) -> list[tuple[str | None, MatchStatus, float]]:
     """Resolve one shared-memory slice of distinct addresses.
 
     ``chunk`` is the decoded text column a worker received as a
-    :class:`~repro.perf.shm.TableSlice` descriptor; each address goes
-    through :func:`_resolve_one_worker`, so results are bit-identical to
-    the serial path.
+    :class:`~repro.perf.shm.TableSlice` descriptor; the slice goes through
+    one :func:`_resolve_batch` against the worker's index, so results are
+    bit-identical to the serial path.
     """
-    return [_resolve_one_worker(raw) for raw in chunk["address"]]
+    assert _WORKER_STATE is not None, "worker initializer did not run"
+    return _resolve_batch(list(chunk["address"]), *_WORKER_STATE)

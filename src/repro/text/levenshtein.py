@@ -14,10 +14,15 @@ We normalize by the longer string's length::
 which satisfies exactly that contract (1 iff the strings are equal, 0 iff
 they share no aligned characters at all).
 
-The implementation is a two-row dynamic program with an optional cut-off
-band: when the caller only cares whether the similarity clears a threshold
-``phi`` (the INDICE acceptance test), rows whose minimum already exceeds the
-implied distance budget abort early.
+Distances are computed with the Myers/Hyyrö bit-parallel algorithm: one
+string becomes a bit-vector (one bit per character) and the other is
+streamed over it one character at a time, so a pair costs one handful of
+word operations per streamed character instead of one DP cell per
+character pair.  :func:`distance` runs it on Python ints, which hold a
+pattern of any length.  :class:`GazetteerIndex` runs the same recurrence
+on NumPy ``uint64`` arrays, one word per gazetteer street, and streams a
+whole block of equally long queries against every length-feasible street
+at once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,39 @@ __all__ = [
     "best_match",
     "GazetteerIndex",
 ]
+
+#: Bits of one machine word: longer candidates take the scalar path.
+_WORD = 64
+
+#: Queries streamed together; keeps each (block x candidates) array small.
+_BLOCK = 32
+
+
+def _myers(pattern: str, text: str) -> int:
+    """Edit distance by Myers/Hyyrö on Python ints (*pattern* non-empty)."""
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(pattern)
+    for ch in text:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def distance(a: str, b: str) -> int:
@@ -47,59 +85,20 @@ def distance(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    if len(a) < len(b):  # keep the inner loop over the longer string
+    if len(a) < len(b):  # the shorter string is streamed
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(
-                previous[j] + 1,       # deletion
-                current[j - 1] + 1,    # insertion
-                previous[j - 1] + cost,  # substitution
-            )
-        previous, current = current, previous
-    return previous[len(b)]
+    return _myers(a, b)
 
 
 def distance_within(a: str, b: str, budget: int) -> int | None:
     """The edit distance if it does not exceed *budget*, else ``None``.
 
-    A length-difference pre-check and an early-abort row scan make this much
-    cheaper than :func:`distance` when most candidates are far away, which is
-    the common case when scanning a street gazetteer.
+    The length difference is a lower bound on the distance, so pairs it
+    already rules out never reach the bit-parallel kernel.
     """
-    if budget < 0:
+    if budget < 0 or abs(len(a) - len(b)) > budget:
         return None
-    if a == b:
-        return 0
-    if abs(len(a) - len(b)) > budget:
-        return None
-    if not a or not b:
-        d = max(len(a), len(b))
-        return d if d <= budget else None
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        row_min = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + cost,
-            )
-            if current[j] < row_min:
-                row_min = current[j]
-        if row_min > budget:
-            return None
-        previous, current = current, previous
-    d = previous[len(b)]
+    d = distance(a, b)
     return d if d <= budget else None
 
 
@@ -161,155 +160,145 @@ def best_match(query: str, candidates: list[str], phi: float = 0.0) -> tuple[int
 
 
 class GazetteerIndex:
-    """A pruning candidate index for repeated best-match queries.
+    """Batched best-match lookups over a fixed list of candidates.
 
-    Scanning a full gazetteer per query (:func:`best_match`) costs one
-    banded DP per candidate.  Most of those candidates can be rejected
-    without running any DP, using two valid lower bounds on the edit
-    distance:
+    Every candidate of 1 to 64 characters is one ``uint64`` column of the
+    match-mask table built here: bit *p* of ``masks[c, i]`` is set when
+    character *c* sits at position *p* of candidate *i*.  The last row
+    stands for every character outside the candidates' alphabet and is
+    all zeros.  :meth:`best_matches` groups its queries by length, keeps
+    the candidates whose length can clear the phi-implied edit budget at
+    all, and streams the query characters of up to ``_BLOCK`` queries at
+    a time over a ``(block x candidates)`` array of Myers/Hyyrö state.
+    The empty candidate and candidates longer than one word go through
+    :func:`similarity_at_least` one by one.
 
-    * **length bound** — ``distance(a, b) >= abs(|a| - |b|)``, so whole
-      length buckets fall outside the phi-implied edit budget
-      ``(1-phi) * max(|a|, |b|)`` at once;
-    * **bag bound** — every edit fixes at most one missing and one surplus
-      character, so ``distance(a, b) >= max(#missing, #surplus)`` over the
-      character multisets; evaluated vectorized per length bucket, it
-      rejects most remaining candidates with one NumPy pass.
-
-    Candidates are bucketed by normalized length and, inside each length,
-    by first token.  A query scans feasible lengths nearest-first and the
-    bucket sharing its first token before the others — a high-similarity
-    candidate found early tightens the running threshold, which shrinks
-    the edit budget for everything after it.  Results are **identical** to
-    the linear :func:`best_match` over the same candidate list (same
-    index, same similarity, same tie-breaks): both bounds only skip
-    candidates whose banded DP would return ``None`` anyway, and ties are
-    resolved toward the lowest candidate index regardless of scan order.
-
-    A per-instance memo caches repeated ``(query, phi)`` lookups, since
-    real EPC collections repeat the same address strings heavily.
+    Results are **identical** to the linear :func:`best_match` over the
+    same candidate list (same index, same similarity, same ``None``):
+    a candidate qualifies when its distance is within the budget and its
+    similarity, computed in float64 as ``1 - d / max(la, lb)``, is
+    >= phi; the best similarity wins, the lowest index on ties.  The
+    index never changes after construction.
     """
 
     def __init__(self, candidates: list[str]):
         self.candidates = list(candidates)
-        self._first_token = [
-            c.split(" ", 1)[0] if c else "" for c in self.candidates
-        ]
-        # character -> column of the count matrices
         alphabet = sorted({ch for c in self.candidates for ch in c})
-        self._alphabet = {ch: k for k, ch in enumerate(alphabet)}
-        width = max(len(alphabet), 1)
-        # length -> (ascending indices, per-candidate char counts,
-        #            first token -> ascending indices)
-        self._buckets: dict[
-            int, tuple[np.ndarray, np.ndarray, dict[str, list[int]]]
-        ] = {}
-        by_length: dict[int, list[int]] = {}
-        for i, cand in enumerate(self.candidates):
-            by_length.setdefault(len(cand), []).append(i)
-        for lb, idxs in by_length.items():
-            counts = np.zeros((len(idxs), width), dtype=np.int32)
-            by_token: dict[str, list[int]] = {}
-            for row, i in enumerate(idxs):
-                for ch in self.candidates[i]:
-                    counts[row, self._alphabet[ch]] += 1
-                by_token.setdefault(self._first_token[i], []).append(i)
-            self._buckets[lb] = (
-                np.asarray(idxs, dtype=np.intp), counts, by_token
-            )
-        self._memo: dict[tuple[str, float], tuple[int, float] | None] = {}
+        self._codes = {ch: k for k, ch in enumerate(alphabet)}
+        lengths = np.array([len(c) for c in self.candidates], dtype=np.int64)
+        on_word = (lengths >= 1) & (lengths <= _WORD)
+        self._word = np.flatnonzero(on_word)
+        self._word_lengths = lengths[self._word]
+        self._last_bit = np.left_shift(
+            np.uint64(1), (self._word_lengths - 1).astype(np.uint64)
+        )
+        self._scalar = np.flatnonzero(~on_word).tolist()
+        masks = np.zeros((len(alphabet) + 1, len(self._word)), dtype=np.uint64)
+        for col, i in enumerate(self._word):
+            per_char: dict[int, int] = {}
+            for pos, ch in enumerate(self.candidates[i]):
+                code = self._codes[ch]
+                per_char[code] = per_char.get(code, 0) | (1 << pos)
+            for code, bits in per_char.items():
+                masks[code, col] = bits
+        self._masks = masks
 
     def __len__(self) -> int:
         return len(self.candidates)
 
-    @staticmethod
-    def _length_feasible(la: int, lb: int, phi: float) -> bool:
-        """Whether a candidate of length *lb* can clear *phi* at all."""
-        longest = max(la, lb)
-        return abs(la - lb) <= int((1.0 - phi) * longest + 1e-9)
-
-    def _query_counts(self, query: str) -> tuple[np.ndarray, int]:
-        """Alphabet counts of *query* plus its out-of-alphabet char count."""
-        counts = np.zeros(max(len(self._alphabet), 1), dtype=np.int32)
-        unknown = 0
-        for ch in query:
-            k = self._alphabet.get(ch)
-            if k is None:
-                unknown += 1
-            else:
-                counts[k] += 1
-        return counts, unknown
-
     def best_match(self, query: str, phi: float = 0.0) -> tuple[int, float] | None:
-        """Like :func:`best_match` over the indexed candidates.
+        """``best_matches([query], phi)[0]``."""
+        return self.best_matches([query], phi)[0]
 
-        Returns the same ``(index, similarity)`` (or ``None``) as the
-        linear scan: the maximum similarity >= *phi*, lowest candidate
-        index on ties.
+    def best_matches(
+        self, queries: list[str], phi: float = 0.0
+    ) -> list[tuple[int, float] | None]:
+        """Like :func:`best_match` over the indexed candidates, per query.
+
+        Each query's result is the same ``(index, similarity)`` (or
+        ``None``) as the linear scan, whatever else is in the batch.
         """
-        key = (query, phi)
-        hit = self._memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        result = self._scan(query, phi)
-        self._memo[key] = result
-        return result
+        results: list[tuple[int, float] | None] = [None] * len(queries)
+        by_length: dict[int, list[int]] = {}
+        for qi, query in enumerate(queries):
+            by_length.setdefault(len(query), []).append(qi)
+        for la, members in by_length.items():
+            longest = np.maximum(self._word_lengths, la)
+            budget = ((1.0 - phi) * longest + 1e-9).astype(np.int64)
+            feasible = np.flatnonzero(
+                np.abs(self._word_lengths - la) <= budget
+            )
+            for lo in range(0, len(members), _BLOCK):
+                block = members[lo : lo + _BLOCK]
+                hits = self._word_block(
+                    [queries[qi] for qi in block], feasible,
+                    longest[feasible], budget[feasible], phi,
+                )
+                for qi, hit in zip(block, hits):
+                    results[qi] = self._with_scalar(queries[qi], hit, phi)
+        return results
 
-    def _scan(self, query: str, phi: float) -> tuple[int, float] | None:
-        la = len(query)
-        first = query.split(" ", 1)[0] if query else ""
-        lengths = sorted(
-            (lb for lb in self._buckets if self._length_feasible(la, lb, phi)),
-            key=lambda lb: (abs(lb - la), lb),
+    def _word_block(
+        self,
+        block: list[str],
+        cols: np.ndarray,
+        longest: np.ndarray,
+        budget: np.ndarray,
+        phi: float,
+    ) -> list[tuple[int, float] | None]:
+        """Best one-word candidate among *cols* for each query of *block*.
+
+        Every query of the block has the same length; the Myers/Hyyrö state
+        of all (query, candidate) pairs advances one query character a step.
+        Bits above a candidate's length hold garbage, but carries and
+        shifts only move upward, so they never reach the bits below it.
+        """
+        if len(cols) == 0:
+            return [None] * len(block)
+        unknown = len(self._codes)
+        codes = np.array(
+            [[self._codes.get(ch, unknown) for ch in q] for q in block],
+            dtype=np.intp,
         )
-        q_counts, q_unknown = self._query_counts(query)
-        best_index = -1
-        best_sim = phi
-        found = False
+        masks = self._masks[:, cols]
+        last = self._last_bit[cols]
+        shape = (len(block), len(cols))
+        pv = np.full(shape, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+        mv = np.zeros(shape, dtype=np.uint64)
+        score = np.broadcast_to(self._word_lengths[cols], shape).copy()
+        one = np.uint64(1)
+        for chars in codes.T:
+            eq = masks[chars]
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            score += (ph & last) != 0
+            score -= (mh & last) != 0
+            ph = (ph << one) | one  # row 0 of the DP grows by one a column
+            mh <<= one
+            pv = mh | ~(xv | ph)
+            mv = ph & xv
+        sim = 1.0 - score / longest
+        accepted = (score <= budget) & (sim >= phi)
+        ranked = np.where(accepted, sim, -1.0)
+        best = np.argmax(ranked, axis=1)  # first maximum: lowest index
+        out: list[tuple[int, float] | None] = []
+        for row, col in enumerate(best):
+            if accepted[row, col]:
+                out.append((int(self._word[cols[col]]), float(sim[row, col])))
+            else:
+                out.append(None)
+        return out
 
-        def consider(i: int) -> bool:
-            """DP-check candidate *i*; True once an exact match is held."""
-            nonlocal best_index, best_sim, found
-            sim = similarity_at_least(query, self.candidates[i], best_sim)
-            if sim is not None and (
-                not found
-                or sim > best_sim
-                or (sim == best_sim and i < best_index)
-            ):
-                best_index, best_sim, found = i, sim, True
-            return found and best_sim >= 1.0  # capped at 1.0: exact match
-
-        # pass 1: buckets sharing the query's first token (likeliest to
-        # hold a near-duplicate, so the threshold tightens early)
-        for lb in lengths:
-            for i in self._buckets[lb][2].get(first, ()):
-                if consider(i):
-                    # equality lives in exactly this bucket, scanned in
-                    # ascending index order: first hit = lowest index
-                    return best_index, 1.0
-
-        # pass 2: everything else, bag-bound-filtered per length bucket.
-        # Buckets infeasible at the *running* threshold hold only strictly
-        # worse candidates, so skipping them never changes the outcome.
-        for lb in lengths:
-            if not self._length_feasible(la, lb, best_sim):
+    def _with_scalar(
+        self, query: str, hit: tuple[int, float] | None, phi: float
+    ) -> tuple[int, float] | None:
+        """Fold the candidates the word path cannot hold into *hit*."""
+        for i in self._scalar:
+            sim = similarity_at_least(query, self.candidates[i], phi)
+            if sim is None:
                 continue
-            budget = int((1.0 - best_sim) * max(la, lb) + 1e-9)
-            indices, counts, __ = self._buckets[lb]
-            deltas = counts - q_counts
-            surplus = np.where(deltas > 0, deltas, 0).sum(axis=1)
-            missing = np.where(deltas < 0, -deltas, 0).sum(axis=1) + q_unknown
-            feasible = np.maximum(surplus, missing) <= budget
-            for i in indices[feasible]:
-                i = int(i)
-                if self._first_token[i] == first:
-                    continue  # already scanned in pass 1
-                if consider(i):
-                    return best_index, 1.0
-        if not found:
-            return None
-        return best_index, best_sim
-
-
-#: Sentinel distinguishing "memoized None" from "not memoized".
-_MISS = object()
+            if hit is None or sim > hit[1] or (sim == hit[1] and i < hit[0]):
+                hit = (i, sim)
+        return hit

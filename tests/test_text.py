@@ -1,9 +1,20 @@
 """Tests for the Levenshtein and address-normalization substrate."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataset import (
+    NoiseConfig,
+    SyntheticConfig,
+    apply_noise,
+    generate_epc_collection,
+)
+from repro.perf.parallel import ParallelMap
+from repro.preprocessing.address_cleaner import AddressCleaner
 from repro.text.levenshtein import (
     GazetteerIndex,
     best_match,
@@ -19,6 +30,49 @@ from repro.text.normalize import (
     split_house_number,
     strip_accents,
 )
+
+
+def _reference_distance(a: str, b: str) -> int:
+    """The textbook two-row Levenshtein DP: the oracle for the kernels."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    current = [0] * (len(b) + 1)
+    for i, ca in enumerate(a, start=1):
+        current[0] = i
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current[j] = min(
+                previous[j] + 1,         # deletion
+                current[j - 1] + 1,      # insertion
+                previous[j - 1] + cost,  # substitution
+            )
+        previous, current = current, previous
+    return previous[len(b)]
+
+
+class TestReferenceOracle:
+    @given(st.text(max_size=40), st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_distance_equals_reference(self, a, b):
+        assert distance(a, b) == _reference_distance(a, b)
+
+    @given(
+        st.text(alphabet="ab c", max_size=140),
+        st.text(alphabet="abd ", max_size=140),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_distance_equals_reference_past_one_word(self, a, b):
+        # patterns longer than 64 characters span several machine words
+        assert distance(a, b) == _reference_distance(a, b)
+
+    @given(st.text(max_size=25), st.text(max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_distance_within_agrees_at_every_budget(self, a, b):
+        d = _reference_distance(a, b)
+        for budget in range(-1, max(len(a), len(b)) + 2):
+            expected = d if d <= budget else None
+            assert distance_within(a, b, budget) == expected
 
 
 class TestDistance:
@@ -86,8 +140,8 @@ class TestDistanceWithin:
     )
     @settings(max_examples=200, deadline=None)
     def test_banded_early_abort_path(self, a, b, budget):
-        """Small alphabet + long strings + tiny budgets exercise the
-        mid-DP abort (some row minimum exceeds the budget) heavily."""
+        """Small alphabet + long strings + tiny budgets: most pairs are
+        far over budget, and the few within it must keep their distance."""
         d = distance(a, b)
         within = distance_within(a, b, budget)
         if within is not None:
@@ -192,10 +246,10 @@ class TestGazetteerIndex:
 
     @given(_STREETS, _QUERIES, st.sampled_from([0.0, 0.8]))
     @settings(max_examples=100, deadline=None)
-    def test_memo_is_transparent(self, streets, query, phi):
+    def test_repeat_lookup_is_stable(self, streets, query, phi):
         index = GazetteerIndex(streets)
         first = index.best_match(query, phi)
-        assert index.best_match(query, phi) == first  # served from the memo
+        assert index.best_match(query, phi) == first
 
     def test_exact_match_lowest_index_wins(self):
         streets = ["via roma", "via po", "via roma"]
@@ -210,8 +264,8 @@ class TestGazetteerIndex:
         assert GazetteerIndex([]).best_match("via roma", 0.8) is None
 
     def test_out_of_alphabet_query_chars(self):
-        # "z"/"9" never occur in the candidates: the unknown-char count
-        # feeds the bag bound but must not break correctness
+        # "z"/"9" never occur in the candidates: they share the all-zero
+        # match-mask row and must still count as mismatches
         streets = ["via roma", "corso francia"]
         index = GazetteerIndex(streets)
         for query in ("via zzz9", "via roma9"):
@@ -219,6 +273,100 @@ class TestGazetteerIndex:
 
     def test_len(self):
         assert len(GazetteerIndex(["a", "b"])) == 2
+
+
+#: Candidates the one-word kernel cannot hold, or holds at its edge.
+_EDGE_NAMES = [
+    "", "via " + "r" * 59, "via " + "r" * 60, "via " + "r" * 61, "v" * 100,
+]
+_EDGE_STREETS = st.sampled_from(_EDGE_NAMES)
+_BATCH_STREETS = st.lists(
+    st.one_of(
+        st.lists(_STREET_WORDS, min_size=1, max_size=3).map(" ".join),
+        _EDGE_STREETS,
+    ),
+    min_size=0,
+    max_size=14,
+).flatmap(
+    # duplicate some names so ties between equal candidates occur
+    lambda names: st.lists(st.sampled_from(names), max_size=3).map(
+        lambda dups: names + dups
+    )
+    if names
+    else st.just(names)
+)
+_BATCH_QUERIES = st.lists(
+    st.one_of(
+        _QUERIES,
+        _EDGE_STREETS,
+        st.text(alphabet="abcorsvia zé9", max_size=70),
+    ),
+    min_size=0,
+    max_size=40,
+)
+_PHIS = st.sampled_from([0.0, 0.5, 0.8, 0.9, 1.0])
+
+
+class TestBestMatches:
+    def test_edge_lengths_are_on_both_sides_of_the_word(self):
+        assert [len(name) for name in _EDGE_NAMES] == [0, 63, 64, 65, 100]
+
+    @given(_BATCH_STREETS, _BATCH_QUERIES, _PHIS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_linear_scan(self, streets, queries, phi):
+        index = GazetteerIndex(streets)
+        assert index.best_matches(queries, phi) == [
+            best_match(q, streets, phi) for q in queries
+        ]
+
+    @given(_BATCH_STREETS, _BATCH_QUERIES, _PHIS, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_result_does_not_depend_on_the_batch(
+        self, streets, queries, phi, rng
+    ):
+        index = GazetteerIndex(streets)
+        alone = [index.best_matches([q], phi)[0] for q in queries]
+        assert index.best_matches(queries, phi) == alone
+        order = list(range(len(queries)))
+        rng.shuffle(order)
+        shuffled = index.best_matches([queries[i] for i in order], phi)
+        assert shuffled == [alone[i] for i in order]
+        assert index.best_matches(queries + queries, phi) == alone + alone
+
+    def test_many_queries_of_one_length_span_several_blocks(self):
+        streets = ["via roma", "via rome", "corso po", "via nizza"]
+        rng = random.Random(3)
+        queries = [
+            "".join(rng.choice("via romezp") for __ in range(8))
+            for __ in range(100)
+        ]
+        index = GazetteerIndex(streets)
+        for phi in (0.0, 0.5, 0.8):
+            assert index.best_matches(queries, phi) == [
+                best_match(q, streets, phi) for q in queries
+            ]
+
+    def test_empty_batch(self):
+        assert GazetteerIndex(["via roma"]).best_matches([], 0.8) == []
+
+
+class TestResolveDistinct:
+    def test_serial_equals_two_jobs(self):
+        collection = generate_epc_collection(
+            SyntheticConfig(n_certificates=600, seed=3)
+        )
+        noisy = apply_noise(collection, NoiseConfig(seed=4))
+        address = np.array(noisy.table["address"], dtype=object)
+        serial = AddressCleaner(collection.street_map)._resolve_distinct(address)
+        executor = ParallelMap(n_jobs=2, min_parallel_items=16)
+        parallel = AddressCleaner(
+            collection.street_map, executor=executor
+        )._resolve_distinct(address)
+        assert executor.shm_bytes > 0  # the pool path really ran
+        assert executor.fallbacks == 0
+        assert parallel == serial
+        statuses = {status for __, status, __ in serial.values()}
+        assert len(statuses) >= 3  # exact hits, matches and misses alike
 
 
 class TestNormalize:
